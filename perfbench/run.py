@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Commit-vs-commit benchmark of the TACOS reproduction (see README.md here).
 
-    python3 perfbench/run.py --workload paper-synth --seed 1 --seconds 24 --trace 0
+    python3 perfbench/run.py --workload paper-synth --seed 1 --seconds 6 --trace 0
 
 Run from the root of a source checkout: the ``repro`` package is imported from
 ``src/``.  One client runs a closed loop: the next spec is submitted only
@@ -22,6 +22,7 @@ import os
 import platform
 import random
 import resource
+import signal
 import statistics
 import subprocess
 import sys
@@ -40,10 +41,6 @@ WORKLOAD_NAMES = ("paper-synth", "deploy-export", "sweep-cached", "search-pool")
 #: samples from several processes averages that out.  Each process also
 #: times its own set-up, so setup_s is their median.
 PARTS = 3
-
-#: An untraced run measures at least this many specs, so the tail percentile
-#: (eleventh-largest sample and up) stays inside one spec's group on paper-synth.
-MIN_SAMPLES = 24
 
 #: A latency tail is the highest percentile with at least this many samples beyond it.
 TAIL_BEYOND = 10
@@ -135,10 +132,11 @@ def measure_part(args) -> dict:
     record = Pass()
     share = args.seconds / PARTS
     passes = 0
+    # The processes' shares of the workload's minimum sum to it; each makes one pass at least.
+    min_passes = max(1, (session.workload.min_passes + PARTS - 1 - args.part) // PARTS)
     try:
         # Whole passes, as many as come nearest to this process's share of the time.
-        while (not passes or record.wall * (2 * passes + 1) / (2 * passes) < share
-               or len(outcomes.attempts) < math.ceil(MIN_SAMPLES / PARTS)):
+        while passes < min_passes or record.wall * (2 * passes + 1) / (2 * passes) < share:
             run_pass(session, session.workload.cycle(distinct, rng), NULL_TRACER, record, outcomes)
             passes += 1
     finally:
@@ -153,16 +151,31 @@ def measure_part(args) -> dict:
 
 
 def spawn_part(args, part: int) -> dict:
-    proc = subprocess.run(
+    """Run one measuring process; stop it, and wait for it, on every way out.
+
+    It stops on SIGTERM through its own teardown, which ends its pool workers
+    and resource tracker too.  Only if that hangs is it killed.
+    """
+    proc = subprocess.Popen(
         [sys.executable, str(Path(__file__).resolve()), "--workload", args.workload,
          "--seed", str(args.seed), "--seconds", str(args.seconds), "--out", str(args.out),
          "--part", str(part)],
-        cwd=ROOT, capture_output=True, text=True, timeout=150,
+        cwd=ROOT, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
     )
-    sys.stderr.write(proc.stderr)
+    try:
+        stdout, stderr = proc.communicate(timeout=150)
+    finally:
+        if proc.poll() is None:
+            proc.terminate()
+            try:
+                proc.communicate(timeout=20)
+            except subprocess.TimeoutExpired:
+                proc.kill()
+                proc.communicate()
+    sys.stderr.write(stderr)
     if proc.returncode != 0:
         raise RuntimeError(f"measuring process {part} exited with {proc.returncode}")
-    return json.loads(proc.stdout.splitlines()[-1])
+    return json.loads(stdout.splitlines()[-1])
 
 
 def tail(latencies):
@@ -267,17 +280,21 @@ def accounting(traced: Pass, untraced: Pass, tracer: Tracer) -> dict:
 
 
 def traced_run(args, outcomes) -> tuple:
-    """Alternate untraced and traced passes over the same stream in this process."""
+    """Alternate untraced and traced passes over the same stream in this process,
+    as many of each as half the workload's minimum passes at least."""
     tracer = Tracer()
     session, _ = timed_setup(args.workload, args.work_root, tracer)
     distinct = session.workload.specs(random.Random(args.seed))
     rng = order_rng(args.seed, 0)
     untraced, traced = Pass(), Pass()
+    pairs = 0
     try:
-        while untraced.wall + traced.wall < args.seconds:
+        while pairs < math.ceil(session.workload.min_passes / 2) or (
+                untraced.wall + traced.wall < args.seconds):
             stream = session.workload.cycle(distinct, rng)
             run_pass(session, stream, NULL_TRACER, untraced, outcomes)
             run_pass(session, stream, tracer, traced, outcomes)
+            pairs += 1
         determinism = outcomes.gate(distinct)
     finally:
         session.close()
@@ -289,16 +306,13 @@ def untraced_run(args, outcomes) -> tuple:
     """Measure in PARTS fresh processes, then check every result here."""
     parts = [spawn_part(args, part) for part in range(PARTS)]
     import flows
-    from repro.api import broadcast
-    from repro.api.parallel import shutdown_pools
 
     for part in parts:
         outcomes.merge(part["outcomes"])
     try:
         determinism = outcomes.gate(flows.WORKLOADS[args.workload].specs(random.Random(args.seed)))
     finally:
-        shutdown_pools(wait=True)
-        broadcast.shutdown()
+        flows.teardown()
     metrics, details = end_to_end(parts, outcomes)
     return metrics, details, determinism, []
 
@@ -373,16 +387,22 @@ def benchmark(args) -> int:
     return 0
 
 
+def stop_on_signal(signum, frame):
+    """Turn SIGTERM into an exit that runs every ``finally`` and so the teardown."""
+    raise SystemExit(128 + signum)
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--workload", required=True, choices=WORKLOAD_NAMES)
     parser.add_argument("--seed", type=int, default=1)
-    parser.add_argument("--seconds", type=float, default=24.0)
+    parser.add_argument("--seconds", type=float, default=6.0)
     parser.add_argument("--trace", type=int, choices=(0, 1), default=0)
     parser.add_argument("--out", type=Path, default=ROOT / ".perfbench",
                         help="directory for run records and scratch caches")
     parser.add_argument("--part", type=int, help=argparse.SUPPRESS)
     args = parser.parse_args(argv)
+    signal.signal(signal.SIGTERM, stop_on_signal)
 
     if not (ROOT / "src" / "repro" / "__init__.py").is_file():
         print(f"perfbench: no repro sources under {ROOT / 'src'}; run from a source checkout",
@@ -393,10 +413,14 @@ def main(argv=None) -> int:
     args.work_root = args.out / "work"
     args.work_root.mkdir(parents=True, exist_ok=True)
 
-    if args.part is not None:
-        print(json.dumps(measure_part(args)))
-        return 0
-    return benchmark(args)
+    try:
+        if args.part is not None:
+            print(json.dumps(measure_part(args)))
+            return 0
+        return benchmark(args)
+    finally:
+        if "flows" in sys.modules:  # imported during set-up, which is timed
+            sys.modules["flows"].teardown()
 
 
 if __name__ == "__main__":

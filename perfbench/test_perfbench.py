@@ -8,6 +8,7 @@ mode, including the determinism record and the refusal to run without sources.
 from __future__ import annotations
 
 import json
+import os
 import random
 import shutil
 import subprocess
@@ -96,6 +97,22 @@ def test_staged_run_equals_run(tmp_path, name, params, collective, algorithm):
     assert not outcomes.problems and record[0]["collective_time"] == expected.collective_time
 
 
+def test_teardown_stops_every_helper_process():
+    from multiprocessing import resource_tracker
+
+    flows.resolve_backend("pool").warm(1)
+    ref = flows.broadcast.publish(b"perfbench teardown")
+    tracker = resource_tracker._resource_tracker
+    started = tracker._pid
+    flows.teardown()
+    assert flows.resolve_backend("pool").pool_widths() == []
+    assert flows.broadcast.published_segments() == 0
+    assert tracker._pid is None
+    if ref.segment is not None:  # a segment starts the tracker, which must have ended
+        with pytest.raises(ChildProcessError):
+            os.waitpid(started, os.WNOHANG)
+
+
 def _bench(tmp_path, *args):
     proc = subprocess.run(
         [sys.executable, str(HERE / "run.py"), "--out", str(tmp_path), *args],
@@ -113,7 +130,7 @@ def test_end_to_end_run_is_correct_and_deterministic(tmp_path):
     for result in (first, second):
         assert set(result) == {"correct", "attempted", "failed", "metrics"}
         assert result["correct"] and result["failed"] == 0
-        assert result["attempted"] >= bench.MIN_SAMPLES
+        assert result["attempted"] >= flows.WORKLOADS["search-pool"].min_passes * 4
         assert set(result["metrics"]) == {metric["name"] for metric in spec["end_to_end"]}
     records = [
         json.loads((tmp_path / side / "search-pool-seed5-trace0.json").read_text())
