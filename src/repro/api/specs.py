@@ -21,6 +21,7 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
+import math
 from dataclasses import dataclass, field
 from typing import Any, Dict, Mapping, Optional
 
@@ -142,6 +143,8 @@ class CollectiveSpec(_SpecBase):
     def __post_init__(self) -> None:
         if not self.name:
             raise SpecError("collective spec needs a non-empty name")
+        if not math.isfinite(self.collective_size):
+            raise SpecError(f"collective size must be finite, got {self.collective_size}")
         if self.collective_size <= 0:
             raise SpecError(f"collective size must be positive, got {self.collective_size}")
         if self.chunks_per_npu < 1:

@@ -8,6 +8,7 @@ the experiments for reasoning about chunk counts and sizes.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from repro.collectives.pattern import CollectivePattern
@@ -45,6 +46,8 @@ class ChunkPlan:
 
 def plan_chunks(pattern: CollectivePattern, collective_size: float) -> ChunkPlan:
     """Build a :class:`ChunkPlan` for ``pattern`` at ``collective_size`` bytes."""
+    if not math.isfinite(collective_size):
+        raise CollectiveError(f"collective size must be finite, got {collective_size}")
     if collective_size <= 0:
         raise CollectiveError(f"collective size must be positive, got {collective_size}")
     chunk_size = pattern.chunk_size(collective_size)

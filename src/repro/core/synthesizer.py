@@ -10,6 +10,7 @@ time; an All-Reduce is a Reduce-Scatter followed by an All-Gather.
 
 from __future__ import annotations
 
+import math
 import random
 import struct
 import time as _time
@@ -896,6 +897,8 @@ class TacosSynthesizer:
         collective_size: float,
     ) -> SynthesisResult:
         """Synthesize a collective algorithm and report synthesis statistics."""
+        if not math.isfinite(collective_size):
+            raise SynthesisError(f"collective size must be finite, got {collective_size}")
         if collective_size <= 0:
             raise SynthesisError(f"collective size must be positive, got {collective_size}")
         if pattern.num_npus != topology.num_npus:

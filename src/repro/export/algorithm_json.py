@@ -132,7 +132,9 @@ def algorithm_from_dict(document: Dict) -> CollectiveAlgorithm:
 def save_algorithm_json(algorithm: CollectiveAlgorithm, path: Union[str, Path]) -> Path:
     """Write an algorithm to ``path`` as JSON; returns the path written."""
     path = Path(path)
-    path.write_text(json.dumps(algorithm_to_dict(algorithm), indent=2, allow_nan=False))
+    path.write_text(
+        json.dumps(algorithm_to_dict(algorithm), indent=2, allow_nan=False), encoding="utf-8"
+    )
     return path
 
 
@@ -140,7 +142,7 @@ def load_algorithm_json(path: Union[str, Path]) -> CollectiveAlgorithm:
     """Read an algorithm previously written by :func:`save_algorithm_json`."""
     path = Path(path)
     try:
-        document = json.loads(path.read_text())
+        document = json.loads(path.read_text(encoding="utf-8"))
     except json.JSONDecodeError as error:
         raise ReproError(f"{path} is not valid JSON: {error}") from error
     return algorithm_from_dict(document)

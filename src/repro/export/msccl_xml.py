@@ -13,25 +13,48 @@ threadblock per GPU (one for its sends, one for its receives), and the steps
 within a threadblock follow the synthesized transmission order.  Reduction
 collectives emit ``rrc`` (receive-reduce-copy) receive steps; non-reducing
 collectives emit plain ``recv`` steps.
+
+The XML text is written directly from the algorithm's columns, with no
+document tree in between.  It is byte-identical to the pretty-printed DOM
+(``minidom`` ``toprettyxml(indent="  ")`` of an ``ElementTree``) this module
+used to build: the same ``<?xml version="1.0" ?>`` header, two-space indent,
+attributes in a fixed order, self-closing empty elements, and ``& < " >``
+escaped in attribute values.
 """
 
 from __future__ import annotations
 
+import re
 from pathlib import Path
 from typing import Dict, List, Union
-from xml.dom import minidom
-from xml.etree import ElementTree
+
+import numpy as np
 
 from repro.core.algorithm import CollectiveAlgorithm
 from repro.errors import ReproError
 
 __all__ = ["algorithm_to_msccl_xml", "save_msccl_xml"]
 
+# Everything outside XML 1.0's ``Char`` production; no XML document can carry it.
+_NON_XML_CHAR = re.compile("[^\t\n\r\x20-\ud7ff\ue000-\ufffd\U00010000-\U0010ffff]")
+
 
 def _receive_opcode(pattern_name: str) -> str:
     """MSCCL receive opcode for the collective: reduce-copy for reducing patterns."""
     reducing = pattern_name in ("ReduceScatter", "Reduce", "AllReduce")
     return "rrc" if reducing else "recv"
+
+
+def _attribute(label: str, value: str) -> str:
+    """``value`` escaped for a double-quoted attribute; ``label`` names it in errors."""
+    illegal = _NON_XML_CHAR.search(value)
+    if illegal is not None:
+        raise ReproError(
+            f"MSCCL XML {label} {value!r} contains {illegal.group()!r}, which XML cannot carry"
+        )
+    return (
+        value.replace("&", "&amp;").replace("<", "&lt;").replace('"', "&quot;").replace(">", "&gt;")
+    )
 
 
 def algorithm_to_msccl_xml(algorithm: CollectiveAlgorithm, *, proto: str = "Simple") -> str:
@@ -41,20 +64,18 @@ def algorithm_to_msccl_xml(algorithm: CollectiveAlgorithm, *, proto: str = "Simp
     columnar IR: one lexicographic sort gives the in-block step order, a
     second stable grouping pass splits the chunk column per ``(gpu, peer)``
     pair — no :class:`~repro.core.algorithm.ChunkTransfer` objects are
-    materialized.
+    materialized — and each step is written as one line of text.
     """
     table = algorithm.table
     if not len(table):
         raise ReproError("cannot export an empty collective algorithm")
 
-    root = ElementTree.Element(
-        "algo",
-        name=f"tacos-{algorithm.pattern_name.lower()}",
-        proto=proto,
-        ngpus=str(algorithm.num_npus),
-        coll=algorithm.pattern_name.lower(),
-        nchunksperloop=str(table.num_chunks),
-    )
+    collective = _attribute("collective name", algorithm.pattern_name.lower())
+    lines = [
+        '<?xml version="1.0" ?>\n',
+        f'<algo name="tacos-{collective}" proto="{_attribute("proto", proto)}" '
+        f'ngpus="{algorithm.num_npus}" coll="{collective}" nchunksperloop="{table.num_chunks}">\n',
+    ]
 
     # Steps within a threadblock follow the synthesized transmission order —
     # the full lexicographic transfer order restricted to the block's pair.
@@ -64,59 +85,34 @@ def algorithm_to_msccl_xml(algorithm: CollectiveAlgorithm, *, proto: str = "Simp
     receives_per_gpu = _grouped_chunks(table.dests[order], table.sources[order], chunk_column)
 
     receive_opcode = _receive_opcode(algorithm.pattern_name)
-
     for gpu in range(algorithm.num_npus):
-        gpu_element = ElementTree.SubElement(root, "gpu", id=str(gpu))
-        threadblock_id = 0
-        for peer, outgoing in sorted(sends_per_gpu.get(gpu, {}).items()):
-            block = ElementTree.SubElement(
-                gpu_element, "tb", id=str(threadblock_id), send=str(peer), recv="-1", chan="0"
+        blocks = [
+            (f'send="{peer}" recv="-1"', "s", chunks)
+            for peer, chunks in sorted(sends_per_gpu.get(gpu, {}).items())
+        ]
+        blocks += [
+            (f'send="-1" recv="{peer}"', receive_opcode, chunks)
+            for peer, chunks in sorted(receives_per_gpu.get(gpu, {}).items())
+        ]
+        if not blocks:
+            lines.append(f'  <gpu id="{gpu}"/>\n')
+            continue
+        lines.append(f'  <gpu id="{gpu}">\n')
+        for threadblock_id, (endpoints, opcode, chunks) in enumerate(blocks):
+            lines.append(f'    <tb id="{threadblock_id}" {endpoints} chan="0">\n')
+            lines.extend(
+                f'      <step s="{step_index}" type="{opcode}" srcbuf="o" srcoff="{chunk}" '
+                f'dstbuf="o" dstoff="{chunk}" cnt="1" depid="-1" deps="-1" hasdep="0"/>\n'
+                for step_index, chunk in enumerate(chunks)
             )
-            for step_index, chunk in enumerate(outgoing):
-                ElementTree.SubElement(
-                    block,
-                    "step",
-                    s=str(step_index),
-                    type="s",
-                    srcbuf="o",
-                    srcoff=str(chunk),
-                    dstbuf="o",
-                    dstoff=str(chunk),
-                    cnt="1",
-                    depid="-1",
-                    deps="-1",
-                    hasdep="0",
-                )
-            threadblock_id += 1
-        for peer, incoming in sorted(receives_per_gpu.get(gpu, {}).items()):
-            block = ElementTree.SubElement(
-                gpu_element, "tb", id=str(threadblock_id), send="-1", recv=str(peer), chan="0"
-            )
-            for step_index, chunk in enumerate(incoming):
-                ElementTree.SubElement(
-                    block,
-                    "step",
-                    s=str(step_index),
-                    type=receive_opcode,
-                    srcbuf="o",
-                    srcoff=str(chunk),
-                    dstbuf="o",
-                    dstoff=str(chunk),
-                    cnt="1",
-                    depid="-1",
-                    deps="-1",
-                    hasdep="0",
-                )
-            threadblock_id += 1
-
-    raw = ElementTree.tostring(root, encoding="unicode")
-    return minidom.parseString(raw).toprettyxml(indent="  ")
+            lines.append("    </tb>\n")
+        lines.append("  </gpu>\n")
+    lines.append("</algo>\n")
+    return "".join(lines)
 
 
 def _grouped_chunks(gpus, peers, chunks) -> Dict[int, Dict[int, List[int]]]:
     """``{gpu: {peer: [chunk, ...]}}`` with chunk lists in input order."""
-    import numpy as np
-
     stride = int(max(int(gpus.max()), int(peers.max()))) + 1
     codes = gpus * stride + peers
     order = np.argsort(codes, kind="stable")
@@ -130,7 +126,7 @@ def _grouped_chunks(gpus, peers, chunks) -> Dict[int, Dict[int, List[int]]]:
 
 
 def save_msccl_xml(algorithm: CollectiveAlgorithm, path: Union[str, Path], *, proto: str = "Simple") -> Path:
-    """Write the MSCCL-style XML rendering of ``algorithm`` to ``path``."""
+    """Write the MSCCL-style XML rendering of ``algorithm`` to ``path`` as UTF-8."""
     path = Path(path)
-    path.write_text(algorithm_to_msccl_xml(algorithm, proto=proto))
+    path.write_text(algorithm_to_msccl_xml(algorithm, proto=proto), encoding="utf-8")
     return path

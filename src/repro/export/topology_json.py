@@ -106,7 +106,9 @@ def topology_from_dict(document: Dict) -> Topology:
 def save_topology_json(topology: Topology, path: Union[str, Path]) -> Path:
     """Write a topology to ``path`` as strict JSON; returns the path written."""
     path = Path(path)
-    path.write_text(json.dumps(topology_to_dict(topology), indent=2, allow_nan=False))
+    path.write_text(
+        json.dumps(topology_to_dict(topology), indent=2, allow_nan=False), encoding="utf-8"
+    )
     return path
 
 
@@ -114,7 +116,7 @@ def load_topology_json(path: Union[str, Path]) -> Topology:
     """Read a topology previously written by :func:`save_topology_json` (or by hand)."""
     path = Path(path)
     try:
-        document = json.loads(path.read_text())
+        document = json.loads(path.read_text(encoding="utf-8"))
     except json.JSONDecodeError as error:
         raise TopologyError(f"{path} is not valid JSON: {error}") from error
     return topology_from_dict(document)

@@ -43,6 +43,8 @@ def build_ring(
     for npu in range(num_npus):
         nxt = (npu + 1) % num_npus
         topology.add_link(npu, nxt, alpha=alpha, bandwidth_gbps=bandwidth_gbps)
-        if bidirectional:
+        # Two NPUs share one neighbouring pair: its reverse link is the next
+        # NPU's forward link, so adding it here would duplicate that link.
+        if bidirectional and num_npus > 2:
             topology.add_link(nxt, npu, alpha=alpha, bandwidth_gbps=bandwidth_gbps)
     return topology

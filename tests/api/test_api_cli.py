@@ -66,6 +66,15 @@ class TestSynthesize:
         assert cli.main(["synthesize"]) == 2
         assert "either --topology or --spec" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("size", ["nan", "inf", "infMB"])
+    def test_non_finite_size_exits_2(self, capsys, size):
+        assert cli.main(["synthesize", "-t", "ring:4", "-c", "all_gather", "-s", size]) == 2
+        assert "collective size must be finite" in capsys.readouterr().err
+
+    def test_two_npu_ring_synthesizes(self, capsys):
+        assert cli.main(["synthesize", "-t", "ring:2", "-c", "all_gather"]) == 0
+        assert "Ring(2)" in capsys.readouterr().out
+
 
 class TestSimulateAndSweep:
     def test_simulate_baseline(self, capsys):

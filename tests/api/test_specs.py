@@ -105,6 +105,11 @@ class TestValidation:
         with pytest.raises(SpecError):
             CollectiveSpec(name="all_gather", collective_size=0)
 
+    @pytest.mark.parametrize("size", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_size_rejected(self, size):
+        with pytest.raises(SpecError, match="must be finite"):
+            CollectiveSpec(name="all_gather", collective_size=size)
+
     def test_run_spec_rejects_plain_dict_sections(self):
         with pytest.raises(SpecError):
             RunSpec(topology={"name": "ring"}, collective=CollectiveSpec(name="all_gather"))

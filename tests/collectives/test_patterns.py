@@ -167,6 +167,11 @@ class TestChunkPlanning:
         with pytest.raises(CollectiveError):
             plan_chunks(AllGather(4), 0.0)
 
+    @pytest.mark.parametrize("size", [float("nan"), float("inf")])
+    def test_plan_rejects_non_finite_size(self, size):
+        with pytest.raises(CollectiveError, match="must be finite"):
+            plan_chunks(AllGather(4), size)
+
     def test_pattern_equality_and_hash(self):
         assert AllGather(4, 2) == AllGather(4, 2)
         assert AllGather(4, 2) != AllGather(4, 1)

@@ -208,6 +208,17 @@ class TestSynthesizerConfigurationAndErrors:
         with pytest.raises(SynthesisError):
             synthesizer.synthesize(build_ring(4), AllGather(4), 0.0)
 
+    @pytest.mark.parametrize("size", [float("nan"), float("inf")])
+    def test_non_finite_collective_size_rejected(self, synthesizer, size):
+        with pytest.raises(SynthesisError, match="must be finite"):
+            synthesizer.synthesize(build_ring(4), AllGather(4), size)
+
+    def test_two_npu_ring_all_gather_verifies(self, synthesizer):
+        topology = build_ring(2)
+        pattern = AllGather(2)
+        algorithm = synthesizer.synthesize(topology, pattern, 2 * MB)
+        assert verify_algorithm(algorithm, topology, pattern)
+
     def test_disconnected_topology_stalls(self):
         topology = Topology(4, name="Disconnected")
         topology.add_link(0, 1, alpha=0.5e-6, bandwidth_gbps=50.0, bidirectional=True)

@@ -1,6 +1,11 @@
 """Tests for algorithm and topology persistence (JSON and MSCCL-style XML)."""
 
 import json
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 from xml.etree import ElementTree
 
 import pytest
@@ -23,6 +28,7 @@ from repro.export import (
 from repro.topology import build_dragonfly, build_mesh_2d, build_ring
 
 MB = 1e6
+SRC = str(Path(__file__).resolve().parents[2] / "src")
 
 
 @pytest.fixture(scope="module")
@@ -136,6 +142,61 @@ class TestMscclXml:
         assert path.exists()
         ElementTree.fromstring(path.read_text())
 
+
+class TestUtf8OnDisk:
+    """Exports are UTF-8 files whatever the locale, and the readers decode UTF-8."""
+
+    def test_msccl_xml_non_ascii_proto_round_trips(self, mesh_algorithm, tmp_path):
+        _, _, algorithm = mesh_algorithm
+        path = save_msccl_xml(algorithm, tmp_path / "algo.xml", proto="Ŝimple→")
+        raw = path.read_bytes()
+        assert 'proto="Ŝimple→"'.encode("utf-8") in raw
+        assert ElementTree.fromstring(raw).attrib["proto"] == "Ŝimple→"
+
+    def test_algorithm_json_non_ascii_round_trips(self, mesh_algorithm, tmp_path):
+        _, _, algorithm = mesh_algorithm
+        document = algorithm_to_dict(algorithm)
+        document["topology"] = "Maille-café"
+        path = tmp_path / "algorithm.json"
+        path.write_bytes(json.dumps(document, ensure_ascii=False).encode("utf-8"))
+        restored = load_algorithm_json(path)
+        assert restored.topology_name == "Maille-café"
+        saved = save_algorithm_json(restored, tmp_path / "again.json")
+        assert json.loads(saved.read_bytes().decode("utf-8"))["topology"] == "Maille-café"
+
+    def test_topology_json_non_ascii_round_trips(self, tmp_path):
+        document = topology_to_dict(build_ring(3))
+        document["name"] = "Anneau-é"
+        path = tmp_path / "topology.json"
+        path.write_bytes(json.dumps(document, ensure_ascii=False).encode("utf-8"))
+        restored = load_topology_json(path)
+        assert restored.name == "Anneau-é"
+        saved = save_topology_json(restored, tmp_path / "again.json")
+        assert json.loads(saved.read_bytes().decode("utf-8"))["name"] == "Anneau-é"
+
+    def test_ascii_locale_still_writes_and_reads_utf8(self, tmp_path):
+        """An interpreter whose locale encoding is ASCII round-trips non-ASCII text."""
+        script = textwrap.dedent(
+            """
+            import json, sys
+            from repro.collectives import AllGather
+            from repro.core import TacosSynthesizer
+            from repro.export import load_topology_json, save_msccl_xml, topology_to_dict
+            from repro.topology import build_ring
+
+            ring = build_ring(3)
+            algorithm = TacosSynthesizer().synthesize(ring, AllGather(3), 3e6)
+            save_msccl_xml(algorithm, sys.argv[1] + "/algo.xml", proto="caf\\u00e9")
+            document = dict(topology_to_dict(ring), name="Anneau-\\u00e9")
+            with open(sys.argv[1] + "/topology.json", "wb") as handle:
+                handle.write(json.dumps(document, ensure_ascii=False).encode("utf-8"))
+            assert load_topology_json(sys.argv[1] + "/topology.json").name == document["name"]
+            """
+        )
+        environment = dict(os.environ, PYTHONPATH=SRC, LC_ALL="C", LANG="C")
+        environment.update(PYTHONUTF8="0", PYTHONCOERCECLOCALE="0")
+        subprocess.run([sys.executable, "-c", script, str(tmp_path)], env=environment, check=True)
+        assert 'proto="café"'.encode("utf-8") in (tmp_path / "algo.xml").read_bytes()
 
 class TestTopologyJson:
     def test_round_trip_preserves_links(self):

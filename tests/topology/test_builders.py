@@ -47,6 +47,14 @@ class TestRing:
         with pytest.raises(TopologyError):
             build_ring(1)
 
+    @pytest.mark.parametrize("bidirectional", [True, False])
+    def test_two_npus_get_one_link_each_way(self, bidirectional):
+        topology = build_ring(2, bidirectional=bidirectional)
+        assert list(topology.link_keys()) == [(0, 1), (1, 0)]
+
+    def test_link_order_for_larger_rings_is_forward_then_reverse(self):
+        assert list(build_ring(3).link_keys()) == [(0, 1), (1, 0), (1, 2), (2, 1), (2, 0), (0, 2)]
+
     def test_custom_parameters(self):
         topology = build_ring(4, alpha=30e-9, bandwidth_gbps=150.0)
         link = topology.link(0, 1)
