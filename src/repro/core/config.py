@@ -62,16 +62,20 @@ class SynthesisConfig:
         or off (see docs/determinism.md, "Incumbent pruning is exact").
         Parallel backends share the incumbent across seed waves.
     collect_trial_stats:
-        Record per-trial statistics (seed, rounds, collective time,
-        pruned-at-round, wall seconds) on the returned
-        :class:`~repro.core.synthesizer.SynthesisResult`.  Implied by
-        ``incumbent_pruning`` (the guided tier and the search bench consume
-        the bookkeeping either way).
+        Attach the per-trial statistics (seed, rounds, collective time,
+        pruned-at-round, wall seconds) to the returned
+        :class:`~repro.core.synthesizer.SynthesisResult`.  Every trial
+        computes them anyway; this only decides whether they are exposed,
+        which keeps per-trial wall clock out of result JSON and caches by
+        default.  Implied by ``incumbent_pruning`` (the guided tier and the
+        search bench consume the bookkeeping either way).
     wave_size:
         Seeds per pruning wave on parallel backends: the incumbent bound is
         re-shared between consecutive waves.  ``None`` (the default) sizes
         waves at twice the worker count.  Smaller waves prune harder but
         synchronize more often; the winner is identical for any value.
+        Waves apply only with ``incumbent_pruning``: without an incumbent to
+        share, every seed goes out in a single wave.
     floor_termination:
         Stop the whole search the moment a completed trial meets the
         round-0 lower bound (the "floor": the :class:`~repro.core.matching.

@@ -27,6 +27,7 @@ from repro.collectives.pattern import ChunkOwnership, CollectivePattern, FrozenP
 from repro.core.algorithm import CollectiveAlgorithm
 from repro.core.config import SynthesisConfig
 from repro.core.matching import MatchingState, TrialBound, run_matching_round
+from repro.core.transfers import TransferTable
 from repro.errors import SynthesisError
 from repro.kernels import NUMBA_AVAILABLE
 from repro.kernels.matching import native_run_matching_round
@@ -365,17 +366,87 @@ class _PayloadReader:
             raise SynthesisError("serialized TrialPayload is truncated")
 
 
-def _execute_trial(payload: TrialPayload, seed: int) -> Tuple[CollectiveAlgorithm, int]:
-    """One randomized synthesis run (Alg. 2): returns (algorithm, rounds)."""
+#: Relative slack on the prune comparison: a trial aborts only when its lower
+#: bound exceeds the incumbent by more than one part in 1e9.  The slack keeps
+#: the comparison robust to the few-ulp difference between the bound's
+#: arithmetic and the schedule's own time accumulation; pruning *less* than
+#: the strict threshold allows is always exact (see docs/determinism.md).
+_PRUNE_REL_EPS = 1e-9
+
+
+def _trial_start(payload: TrialPayload):
+    """A fresh ``(ten, state)`` pair at ``t = 0`` for ``payload``."""
     engine = payload.engine
+    pattern = payload.pattern
+    ten = engine.ten_factory(payload.topology, payload.chunk_size)
+    state = engine.state_factory(
+        payload.topology.num_npus, pattern.precondition(), pattern.postcondition()
+    )
+    return ten, state
+
+
+def _trial_stats(
+    seed: int,
+    rounds: int,
+    collective_time: Optional[float],
+    pruned_at_round: Optional[int],
+    wall_seconds: float,
+) -> Dict[str, Any]:
+    return {
+        "seed": seed,
+        "rounds": rounds,
+        "collective_time": collective_time,
+        "pruned_at_round": pruned_at_round,
+        "wall_seconds": wall_seconds,
+    }
+
+
+def _trial_algorithm(
+    payload: TrialPayload, table: TransferTable, metadata: dict
+) -> CollectiveAlgorithm:
+    """Wrap one trial's transfer table in an algorithm on ``payload``'s inputs."""
+    return CollectiveAlgorithm.from_table(
+        table,
+        num_npus=payload.topology.num_npus,
+        chunk_size=payload.chunk_size,
+        collective_size=float(payload.collective_size),
+        pattern_name=payload.pattern.name,
+        topology_name=payload.topology.name,
+        metadata=metadata,
+    )
+
+
+def _execute_trial(
+    payload: TrialPayload, seed: int, incumbent: Optional[float] = None
+) -> Tuple[Optional[CollectiveAlgorithm], Dict[str, Any]]:
+    """One randomized synthesis run (Alg. 2), optionally pruned against ``incumbent``.
+
+    When ``incumbent`` is given, a :class:`TrialBound` is evaluated after
+    every round and the trial aborts — returning ``(None, stats)`` — the
+    moment the bound strictly exceeds the incumbent.  A pruned trial provably
+    cannot beat the incumbent, so best-of selection over the surviving trials
+    picks the same winner as the unpruned search.  Without an incumbent no
+    bound work is done at all, and the RNG is consumed identically either
+    way.
+
+    The stats dict carries ``seed``, ``rounds``, ``collective_time``
+    (``None`` when pruned), ``pruned_at_round`` (``None`` when completed),
+    and ``wall_seconds`` — the bookkeeping the seed portfolio and the
+    ``search`` bench consume.  A completed trial's transfers are
+    columnarized once, so its algorithm is table-backed from the start.
+    """
+    started = _time.perf_counter()
     topology = payload.topology
     pattern = payload.pattern
-    ten = engine.ten_factory(topology, payload.chunk_size)
-    state = engine.state_factory(
-        topology.num_npus, pattern.precondition(), pattern.postcondition()
-    )
-    matching_round = engine.matching_round
+    ten, state = _trial_start(payload)
+    matching_round = payload.engine.matching_round
     rng = random.Random(seed)
+
+    bound = None
+    if incumbent is not None:
+        prune_limit = incumbent + abs(incumbent) * _PRUNE_REL_EPS
+        bound = TrialBound(ten, state, payload.hop_distances)
+        committed_end = 0.0
 
     transfers = []
     current_time = 0.0
@@ -400,106 +471,15 @@ def _execute_trial(payload: TrialPayload, seed: int) -> Tuple[CollectiveAlgorith
         transfers.extend(new_transfers)
         if state.done:
             break
-        next_time = ten.next_event_after(current_time)
-        if next_time is None:
-            raise SynthesisError(
-                f"synthesis of {pattern.name} on {topology.name} stalled at t={current_time:.3e}s; "
-                "is the topology strongly connected?"
-            )
-        current_time = next_time
-
-    algorithm = CollectiveAlgorithm(
-        transfers=transfers,
-        num_npus=topology.num_npus,
-        chunk_size=payload.chunk_size,
-        collective_size=float(payload.collective_size),
-        pattern_name=pattern.name,
-        topology_name=topology.name,
-        metadata={"seed": seed, "rounds": rounds},
-    )
-    return algorithm, rounds
-
-
-#: Relative slack on the prune comparison: a trial aborts only when its lower
-#: bound exceeds the incumbent by more than one part in 1e9.  The slack keeps
-#: the comparison robust to the few-ulp difference between the bound's
-#: arithmetic and the schedule's own time accumulation; pruning *less* than
-#: the strict threshold allows is always exact (see docs/determinism.md).
-_PRUNE_REL_EPS = 1e-9
-
-
-def _execute_trial_stats(
-    payload: TrialPayload, seed: int, incumbent: Optional[float] = None
-) -> Tuple[Optional[CollectiveAlgorithm], Dict[str, Any]]:
-    """One randomized trial with per-trial bookkeeping and optional pruning.
-
-    Same loop as :func:`_execute_trial` (identical RNG consumption round for
-    round), plus: when ``incumbent`` is given, a :class:`TrialBound` is
-    evaluated after every round and the trial aborts — returning
-    ``(None, stats)`` — the moment the bound strictly exceeds the incumbent.
-    A pruned trial provably cannot beat the incumbent, so best-of selection
-    over the surviving trials picks the same winner as the unpruned search.
-
-    The returned stats dict carries ``seed``, ``rounds``, ``collective_time``
-    (``None`` when pruned), ``pruned_at_round`` (``None`` when completed),
-    and ``wall_seconds`` — the bookkeeping the seed portfolio and the
-    ``search`` bench consume.
-    """
-    started = _time.perf_counter()
-    engine = payload.engine
-    topology = payload.topology
-    pattern = payload.pattern
-    ten = engine.ten_factory(topology, payload.chunk_size)
-    state = engine.state_factory(
-        topology.num_npus, pattern.precondition(), pattern.postcondition()
-    )
-    matching_round = engine.matching_round
-    rng = random.Random(seed)
-
-    prune_limit = None
-    bound = None
-    if incumbent is not None:
-        prune_limit = incumbent + abs(incumbent) * _PRUNE_REL_EPS
-        bound = TrialBound(ten, state, payload.hop_distances)
-
-    transfers = []
-    committed_end = 0.0
-    current_time = 0.0
-    rounds = 0
-    while not state.done:
-        rounds += 1
-        if rounds > payload.max_rounds:
-            raise SynthesisError(
-                f"synthesis of {pattern.name} on {topology.name} exceeded "
-                f"{payload.max_rounds} time spans"
-            )
-        new_transfers = matching_round(
-            ten,
-            state,
-            current_time,
-            rng,
-            prefer_lowest_cost=payload.prefer_lowest_cost,
-            enable_forwarding=payload.hop_distances is not None,
-            hop_distances=payload.hop_distances,
-            cheap_regions=payload.cheap_regions,
-        )
-        if new_transfers:
-            transfers.extend(new_transfers)
+        if bound is not None:
             for transfer in new_transfers:
                 if transfer.end > committed_end:
                     committed_end = transfer.end
-            if bound is not None:
+            if new_transfers:
                 bound.update(new_transfers)
-        if state.done:
-            break
-        if prune_limit is not None and bound.value(current_time, committed_end) > prune_limit:
-            return None, {
-                "seed": seed,
-                "rounds": rounds,
-                "collective_time": None,
-                "pruned_at_round": rounds,
-                "wall_seconds": _time.perf_counter() - started,
-            }
+            if bound.value(current_time, committed_end) > prune_limit:
+                wall = _time.perf_counter() - started
+                return None, _trial_stats(seed, rounds, None, rounds, wall)
         next_time = ten.next_event_after(current_time)
         if next_time is None:
             raise SynthesisError(
@@ -508,52 +488,38 @@ def _execute_trial_stats(
             )
         current_time = next_time
 
-    algorithm = CollectiveAlgorithm(
-        transfers=transfers,
-        num_npus=topology.num_npus,
-        chunk_size=payload.chunk_size,
-        collective_size=float(payload.collective_size),
-        pattern_name=pattern.name,
-        topology_name=topology.name,
-        metadata={"seed": seed, "rounds": rounds},
+    algorithm = _trial_algorithm(
+        payload, TransferTable.from_transfers(transfers), {"seed": seed, "rounds": rounds}
     )
-    return algorithm, {
-        "seed": seed,
-        "rounds": rounds,
-        "collective_time": algorithm.collective_time,
-        "pruned_at_round": None,
-        "wall_seconds": _time.perf_counter() - started,
-    }
+    wall = _time.perf_counter() - started
+    return algorithm, _trial_stats(seed, rounds, algorithm.collective_time, None, wall)
 
 
-def _run_trial_task(payload: TrialPayload, seed: int) -> Tuple[bytes, dict, int]:
-    """Process-pool trial task: the algorithm crosses back as raw column bytes.
+def _run_trial_task(
+    payload: TrialPayload, seed: int, incumbent: Optional[float] = None
+) -> Tuple[Optional[Tuple[bytes, dict]], Dict[str, Any]]:
+    """Process-pool trial task: a completed algorithm crosses back as column bytes.
 
     Returning ``TransferTable.to_bytes()`` instead of the object graph keeps
     the inter-process transport compact and bit-exact — the parent rebuilds
     an identical algorithm with :func:`_decode_trial_outcome`.
     """
-    algorithm, rounds = _execute_trial(payload, seed)
-    return algorithm.table.to_bytes(), dict(algorithm.metadata), rounds
+    algorithm, stats = _execute_trial(payload, seed, incumbent)
+    if algorithm is None:
+        return None, stats
+    return (algorithm.table.to_bytes(), dict(algorithm.metadata)), stats
 
 
 def _decode_trial_outcome(
-    payload: TrialPayload, outcome: Tuple[bytes, dict, int]
-) -> Tuple[CollectiveAlgorithm, int]:
-    """Rebuild a trial's algorithm from the bytes a process worker returned."""
-    from repro.core.transfers import TransferTable
-
-    table_bytes, metadata, rounds = outcome
-    algorithm = CollectiveAlgorithm.from_table(
-        TransferTable.from_bytes(table_bytes),
-        num_npus=payload.topology.num_npus,
-        chunk_size=payload.chunk_size,
-        collective_size=float(payload.collective_size),
-        pattern_name=payload.pattern.name,
-        topology_name=payload.topology.name,
-        metadata=metadata,
-    )
-    return algorithm, rounds
+    payload: TrialPayload,
+    outcome: Tuple[Optional[Tuple[bytes, dict]], Dict[str, Any]],
+) -> Tuple[Optional[CollectiveAlgorithm], Dict[str, Any]]:
+    """Rebuild a trial's algorithm (if it completed) from the bytes a worker returned."""
+    packed, stats = outcome
+    if packed is None:
+        return None, stats
+    table_bytes, metadata = packed
+    return _trial_algorithm(payload, TransferTable.from_bytes(table_bytes), metadata), stats
 
 
 # Worker-side decoded-payload cache, keyed by the blob's content hash.  A warm
@@ -581,101 +547,17 @@ def _fetch_payload(ref) -> TrialPayload:
     return payload
 
 
-def _run_trial_chunk(ref, seeds: List[int]) -> List[Tuple[bytes, dict, int]]:
-    """Thin chunked trial task: a broadcast ref plus seeds, nothing bulky.
+def _run_trial_chunk(
+    ref, incumbent: Optional[float], seeds: List[int]
+) -> List[Tuple[Optional[Tuple[bytes, dict]], Dict[str, Any]]]:
+    """Thin chunked trial task: a broadcast ref, the shared incumbent, and seeds.
 
     This is what actually crosses the process boundary on the broadcast
     path — per chunk, one tiny :class:`~repro.api.broadcast.BlobRef` and a
     list of integer seeds, instead of one full payload pickle per trial.
     """
     payload = _fetch_payload(ref)
-    return [_run_trial_task(payload, seed) for seed in seeds]
-
-
-def _fan_out_trials(
-    payload: TrialPayload, seeds: List[int], backend, workers: Optional[int]
-) -> List[Tuple[CollectiveAlgorithm, int]]:
-    """Broadcast-once/submit-thin trial fan-out for process-based backends.
-
-    The payload is published once per fan-out as a content-hash-addressed
-    blob (:mod:`repro.api.broadcast`) and the seeds are submitted in
-    contiguous chunks, so N trials ship N seeds plus a handful of refs — not
-    N topology pickles.  Payloads that cannot be serialized by name (an
-    unregistered custom engine) fall back to the per-trial pickle transport;
-    either way the outcomes, and therefore the best-of selection, are
-    byte-identical.
-    """
-    from repro.api.parallel import chunk_items  # deferred: avoids an import cycle
-
-    try:
-        blob = payload.to_bytes()
-    except SynthesisError:
-        packed = backend.map(partial(_run_trial_task, payload), seeds, max_workers=workers)
-        return [_decode_trial_outcome(payload, item) for item in packed]
-
-    from repro.api import broadcast  # deferred: avoids an import cycle
-
-    ref = broadcast.publish(blob)
-    try:
-        chunks = chunk_items(seeds, workers)
-        packed_chunks = backend.map(
-            partial(_run_trial_chunk, ref), chunks, max_workers=workers
-        )
-    finally:
-        broadcast.release(ref)
-    outcomes: List[Tuple[CollectiveAlgorithm, int]] = []
-    for chunk in packed_chunks:
-        outcomes.extend(_decode_trial_outcome(payload, item) for item in chunk)
-    return outcomes
-
-
-def _run_trial_task_stats(
-    payload: TrialPayload, seed: int, incumbent: Optional[float] = None
-) -> Tuple[Optional[Tuple[bytes, dict]], Dict[str, Any]]:
-    """Process-pool stats trial task; completed algorithms cross as column bytes."""
-    algorithm, stats = _execute_trial_stats(payload, seed, incumbent)
-    if algorithm is None:
-        return None, stats
-    return (algorithm.table.to_bytes(), dict(algorithm.metadata)), stats
-
-
-def _run_trial_chunk_stats(
-    ref, incumbent: Optional[float], seeds: List[int]
-) -> List[Tuple[Optional[Tuple[bytes, dict]], Dict[str, Any]]]:
-    """Chunked stats trial task: broadcast ref, shared incumbent bound, seeds."""
-    payload = _fetch_payload(ref)
-    return [_run_trial_task_stats(payload, seed, incumbent) for seed in seeds]
-
-
-def _decode_stats_outcome(
-    payload: TrialPayload,
-    outcome: Tuple[Optional[Tuple[bytes, dict]], Dict[str, Any]],
-) -> Tuple[Optional[CollectiveAlgorithm], Dict[str, Any]]:
-    """Rebuild a stats trial's algorithm (if it completed) from worker bytes."""
-    packed, stats = outcome
-    if packed is None:
-        return None, stats
-    table_bytes, metadata = packed
-    algorithm, _rounds = _decode_trial_outcome(
-        payload, (table_bytes, metadata, stats["rounds"])
-    )
-    return algorithm, stats
-
-
-def _floor_skip_stats(seed: int) -> Tuple[None, Dict[str, Any]]:
-    """Stats entry for a trial skipped outright by floor termination.
-
-    A skipped trial never starts, so it is recorded as pruned at round 0
-    with zero wall clock — distinguishable from a mid-trial prune (positive
-    ``pruned_at_round``) and from a completed trial (``collective_time``).
-    """
-    return None, {
-        "seed": seed,
-        "rounds": 0,
-        "collective_time": None,
-        "pruned_at_round": 0,
-        "wall_seconds": 0.0,
-    }
+    return [_run_trial_task(payload, seed, incumbent) for seed in seeds]
 
 
 def _search_floor(payload: TrialPayload) -> Optional[float]:
@@ -687,18 +569,12 @@ def _search_floor(payload: TrialPayload) -> Optional[float]:
     ``None`` when the bound degenerates to zero (no numpy, no owed chunks),
     in which case floor termination can never fire.
     """
-    engine = payload.engine
-    ten = engine.ten_factory(payload.topology, payload.chunk_size)
-    state = engine.state_factory(
-        payload.topology.num_npus,
-        payload.pattern.precondition(),
-        payload.pattern.postcondition(),
-    )
+    ten, state = _trial_start(payload)
     floor = TrialBound(ten, state, payload.hop_distances).value(0.0, 0.0)
     return floor if floor > 0.0 else None
 
 
-def _run_stats_trials(
+def _run_trials(
     payload: TrialPayload,
     seeds: List[int],
     backend,
@@ -708,51 +584,59 @@ def _run_stats_trials(
     wave_size: Optional[int],
     floor: Optional[float] = None,
 ) -> List[Tuple[Optional[CollectiveAlgorithm], Dict[str, Any]]]:
-    """Seed-ordered trial fan-out with per-trial stats and incumbent sharing.
+    """Seed-ordered trial fan-out, with incumbent sharing when pruning.
 
     Serial execution threads the incumbent through every trial (maximal
     pruning).  Parallel backends run the seeds in consecutive *waves* and
     re-share the best completed time between waves — a wave only ever sees an
     incumbent at least as large as the final one, so sharing it late prunes
     less but never differently (any pruned trial is provably worse than some
-    completed trial).  Process-based backends reuse the broadcast plane: one
-    payload blob for all waves, thin ``(ref, incumbent, seeds)`` chunk tasks.
+    completed trial).  Without pruning there is nothing to share, so every
+    seed goes out in a single wave.
+
+    Process-based backends use the broadcast plane: the payload crosses the
+    process boundary once as content-hash-addressed columnar bytes, the seeds
+    follow in thin ``(ref, incumbent, seeds)`` chunks, and completed trials
+    come back as columnar ``TransferTable`` bytes.  A payload that cannot be
+    serialized by name (an unregistered custom engine) falls back to the
+    per-trial pickle transport; the outcomes are byte-identical either way.
 
     When ``floor`` is given (the round-0 bound, see :func:`_search_floor`)
-    and the incumbent reaches it, every remaining seed is skipped outright:
-    no trial can be *strictly* better than the floor, and the strict-``<``
-    best-of selection never replaces the incumbent on a tie, so the winner
-    is unchanged.
+    and the incumbent reaches it, every remaining seed is skipped outright
+    and recorded as pruned at round 0: no trial can be *strictly* better
+    than the floor, and the strict-``<`` best-of selection never replaces
+    the incumbent on a tie, so the winner is unchanged.
     """
     outcomes: List[Tuple[Optional[CollectiveAlgorithm], Dict[str, Any]]] = []
     incumbent: Optional[float] = None
 
     def absorb(wave_outcomes) -> None:
         nonlocal incumbent
-        for algorithm, stats in wave_outcomes:
+        for algorithm, _stats in wave_outcomes:
             if algorithm is not None:
                 finished = algorithm.collective_time
                 if incumbent is None or finished < incumbent:
                     incumbent = finished
         outcomes.extend(wave_outcomes)
 
-    def at_floor() -> bool:
-        return floor is not None and incumbent is not None and incumbent <= floor
+    def skip_rest(remaining: List[int]) -> bool:
+        if floor is None or incumbent is None or incumbent > floor or not remaining:
+            return False
+        outcomes.extend((None, _trial_stats(seed, 0, None, 0, 0.0)) for seed in remaining)
+        return True
 
     if backend is None or len(seeds) <= 1:
         for index, seed in enumerate(seeds):
-            absorb([_execute_trial_stats(payload, seed, incumbent if prune else None)])
-            if at_floor() and index + 1 < len(seeds):
-                outcomes.extend(_floor_skip_stats(s) for s in seeds[index + 1 :])
+            absorb([_execute_trial(payload, seed, incumbent if prune else None)])
+            if skip_rest(seeds[index + 1 :]):
                 break
         return outcomes
 
     from repro.api.parallel import chunk_items, default_worker_count
 
-    width = wave_size
-    if width is None:
-        width = 2 * (workers if workers else default_worker_count())
-    width = max(width, 1)
+    width = len(seeds)
+    if prune:
+        width = wave_size or 2 * (workers if workers else default_worker_count())
 
     process_based = getattr(backend, "process_based", False)
     ref = None
@@ -771,31 +655,30 @@ def _run_stats_trials(
             shared = incumbent if prune else None
             if not process_based:
                 wave_outcomes = backend.map(
-                    partial(_execute_trial_stats, payload, incumbent=shared),
+                    partial(_execute_trial, payload, incumbent=shared),
                     wave,
                     max_workers=workers,
                 )
             elif ref is not None:
                 packed_chunks = backend.map(
-                    partial(_run_trial_chunk_stats, ref, shared),
+                    partial(_run_trial_chunk, ref, shared),
                     chunk_items(wave, workers),
                     max_workers=workers,
                 )
                 wave_outcomes = [
-                    _decode_stats_outcome(payload, item)
+                    _decode_trial_outcome(payload, item)
                     for chunk in packed_chunks
                     for item in chunk
                 ]
             else:
                 packed = backend.map(
-                    partial(_run_trial_task_stats, payload, incumbent=shared),
+                    partial(_run_trial_task, payload, incumbent=shared),
                     wave,
                     max_workers=workers,
                 )
-                wave_outcomes = [_decode_stats_outcome(payload, item) for item in packed]
+                wave_outcomes = [_decode_trial_outcome(payload, item) for item in packed]
             absorb(wave_outcomes)
-            if at_floor() and start + width < len(seeds):
-                outcomes.extend(_floor_skip_stats(s) for s in seeds[start + width :])
+            if skip_rest(seeds[start + width :]):
                 break
     finally:
         if ref is not None:
@@ -999,20 +882,24 @@ class TacosSynthesizer:
         reachability regions) are resolved once here — cached on the topology
         — and shared read-only by every trial.  Independent trials fan out
         through the pluggable execution backends (:mod:`repro.api.parallel`):
-        serial, thread, or process, per the config or the ambient
+        serial, thread, process or pool, per the config or the ambient
         :func:`~repro.api.parallel.execution_scope`.  Every trial is seeded
         deterministically (:meth:`SynthesisConfig.trial_seed`) and the
         best-of-trials selection below is order-independent, so the chosen
-        algorithm is byte-identical regardless of backend.
+        algorithm is byte-identical regardless of backend.  The uniform,
+        stats-collecting and pruned searches share this one path: pruning and
+        floor termination only ever skip trials that cannot win, and
+        ``trial_stats`` is attached only when the config asks for it.
         """
+        config = self.config
         chunk_size = pattern.chunk_size(collective_size)
 
         hop_distances = None
-        if self.config.enable_forwarding and self._needs_forwarding(pattern):
+        if config.enable_forwarding and self._needs_forwarding(pattern):
             hop_distances = topology.hop_distances()
 
         cheap_regions = None
-        if self.config.prefer_lowest_cost_links and not topology.is_homogeneous():
+        if config.prefer_lowest_cost_links and not topology.is_homogeneous():
             cheap_regions = topology.cheaper_reachability_regions(chunk_size)
 
         # Warm the adjacency caches before fanning out so concurrent trials
@@ -1028,75 +915,44 @@ class TacosSynthesizer:
             hop_distances=hop_distances,
             cheap_regions=cheap_regions,
             engine=self.engine,
-            prefer_lowest_cost=self.config.prefer_lowest_cost_links,
-            max_rounds=self.config.max_rounds,
+            prefer_lowest_cost=config.prefer_lowest_cost_links,
+            max_rounds=config.max_rounds,
         )
         seeds = self._trial_seeds(topology)
         backend, workers = self._trial_execution()
-        if self.config.incumbent_pruning or self.config.collect_trial_stats:
-            floor = None
-            if self.config.floor_termination:
-                floor = _search_floor(payload)
-            stats_outcomes = _run_stats_trials(
-                payload,
-                seeds,
-                backend,
-                workers,
-                prune=self.config.incumbent_pruning,
-                wave_size=self.config.wave_size,
-                floor=floor,
-            )
-            best_algorithm = None
-            best_rounds = 0
-            for algorithm, stats in stats_outcomes:
-                if algorithm is None:
-                    continue
-                if (
-                    best_algorithm is None
-                    or algorithm.collective_time < best_algorithm.collective_time
-                ):
-                    best_algorithm = algorithm
-                    best_rounds = stats["rounds"]
-            if best_algorithm is None:  # unreachable: the first trial of the
-                # first wave runs with no incumbent and therefore completes
-                raise SynthesisError("every synthesis trial was pruned")
-            return SynthesisResult(
-                algorithm=best_algorithm,
-                wall_clock_seconds=0.0,
-                trials=len(seeds),
-                rounds=best_rounds,
-                trial_stats=[stats for _, stats in stats_outcomes],
-            )
-        if backend is not None and len(seeds) > 1:
-            if getattr(backend, "process_based", False):
-                # Broadcast-once/submit-thin: the payload crosses the process
-                # boundary once as content-hash-addressed columnar bytes and
-                # the seeds follow in thin chunks; results come back as
-                # columnar TransferTable bytes.  No per-trial object graphs
-                # on the wire in either direction.
-                outcomes = _fan_out_trials(payload, seeds, backend, workers)
-            else:
-                outcomes = backend.map(
-                    partial(_execute_trial, payload), seeds, max_workers=workers
-                )
-        else:
-            outcomes = [_execute_trial(payload, seed) for seed in seeds]
+        floor = _search_floor(payload) if config.floor_termination else None
+        outcomes = _run_trials(
+            payload,
+            seeds,
+            backend,
+            workers,
+            prune=config.incumbent_pruning,
+            wave_size=config.wave_size,
+            floor=floor,
+        )
 
         # First-strictly-better selection over the seed-ordered outcomes: the
         # winner does not depend on scheduling, so parallel and serial runs
         # pick the same algorithm.
         best_algorithm: Optional[CollectiveAlgorithm] = None
         best_rounds = 0
-        for algorithm, rounds in outcomes:
+        for algorithm, stats in outcomes:
+            if algorithm is None:
+                continue
             if best_algorithm is None or algorithm.collective_time < best_algorithm.collective_time:
                 best_algorithm = algorithm
-                best_rounds = rounds
-        assert best_algorithm is not None  # trials >= 1 guaranteed by SynthesisConfig
+                best_rounds = stats["rounds"]
+        # The first trial runs with no incumbent, so it always completes.
+        assert best_algorithm is not None
+        trial_stats = None
+        if config.incumbent_pruning or config.collect_trial_stats:
+            trial_stats = [stats for _, stats in outcomes]
         return SynthesisResult(
             algorithm=best_algorithm,
             wall_clock_seconds=0.0,
-            trials=self.config.trials,
+            trials=len(seeds),
             rounds=best_rounds,
+            trial_stats=trial_stats,
         )
 
     def _trial_seeds(self, topology: Topology) -> List[int]:
@@ -1139,31 +995,6 @@ class TacosSynthesizer:
             return None, None
         return backend, workers
 
-    def _run_trial(
-        self,
-        topology: Topology,
-        pattern: CollectivePattern,
-        collective_size: float,
-        seed: int,
-        *,
-        chunk_size: float,
-        hop_distances: Optional[List[List[int]]],
-        cheap_regions: Optional[dict],
-    ) -> tuple:
-        """One randomized synthesis run (kept as a thin compatibility wrapper)."""
-        payload = TrialPayload(
-            topology=topology,
-            pattern=pattern,
-            collective_size=float(collective_size),
-            chunk_size=chunk_size,
-            hop_distances=hop_distances,
-            cheap_regions=cheap_regions,
-            engine=self.engine,
-            prefer_lowest_cost=self.config.prefer_lowest_cost_links,
-            max_rounds=self.config.max_rounds,
-        )
-        return _execute_trial(payload, seed)
-
     @staticmethod
     def _needs_forwarding(pattern: CollectivePattern) -> bool:
         """Whether some chunk must traverse NPUs that never request it.
@@ -1175,22 +1006,6 @@ class TacosSynthesizer:
         post = pattern.postcondition()
         all_chunks = pattern.all_chunks()
         return any(post.get(npu, frozenset()) != all_chunks for npu in range(pattern.num_npus))
-
-
-def _cheaper_reachability_regions(topology: Topology, chunk_size: float):
-    """Per link-cost tier, the NPUs that can reach each destination over cheaper links only.
-
-    Returns ``{cost: regions}`` where ``regions[dest]`` is a frozenset of NPUs
-    from which ``dest`` is reachable using only links whose one-chunk cost is
-    strictly below ``cost``.  Delegates to the cached topology-level structure
-    (:meth:`repro.topology.topology.Topology.cheaper_reachability_regions`).
-    """
-    return topology.cheaper_reachability_regions(chunk_size)
-
-
-def _all_pairs_hop_distances(topology: Topology) -> List[List[int]]:
-    """Hop distances between every NPU pair via per-source BFS (cached on the topology)."""
-    return topology.hop_distances()
 
 
 def synthesize(

@@ -12,6 +12,7 @@ The transmission cost of a message of ``size`` bytes is ``alpha + beta * size``.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 
 from repro.errors import TopologyError
@@ -36,6 +37,8 @@ def bandwidth_to_beta(bandwidth_gbps: float) -> float:
     float
         Serialization delay per byte in seconds.
     """
+    if not math.isfinite(bandwidth_gbps):
+        raise TopologyError(f"bandwidth must be finite, got {bandwidth_gbps}")
     if bandwidth_gbps <= 0:
         raise TopologyError(f"bandwidth must be positive, got {bandwidth_gbps}")
     return 1.0 / (bandwidth_gbps * GIGABYTE)
@@ -80,6 +83,14 @@ class Link:
     def __post_init__(self) -> None:
         if self.source == self.dest:
             raise TopologyError(f"self-loop link on NPU {self.source} is not allowed")
+        # NaN passes every ``< 0`` check and poisons TEN spans; infinity never
+        # finishes a transfer.  Either way synthesis would later die with a
+        # misleading "no path" or "stalled" error, so reject them here.
+        for name, value in (("alpha", self.alpha), ("beta", self.beta)):
+            if not math.isfinite(value):
+                raise TopologyError(
+                    f"link {self.source}->{self.dest} {name} cost must be finite, got {value}"
+                )
         if self.alpha < 0:
             raise TopologyError(f"alpha must be non-negative, got {self.alpha}")
         if self.beta < 0:

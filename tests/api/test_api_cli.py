@@ -71,6 +71,24 @@ class TestSynthesize:
         assert cli.main(["synthesize", "-t", "ring:4", "-c", "all_gather", "-s", size]) == 2
         assert "collective size must be finite" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("cost", ["NaN", "Infinity"])
+    def test_non_finite_link_cost_in_spec_exits_2(self, tmp_path, capsys, cost):
+        spec_file = tmp_path / "spec.json"
+        assert cli.main(
+            ["synthesize", "-t", "ring:2", "-c", "all_gather", "--save-spec", str(spec_file)]
+        ) == 0
+        capsys.readouterr()
+        spec = json.loads(spec_file.read_text())
+        spec["topology"] = {
+            "name": "custom",
+            "params": {"num_npus": 2, "links": [[0, 1, "ALPHA", 1e-11], [1, 0, 1e-6, 1e-11]]},
+        }
+        spec_file.write_text(json.dumps(spec).replace('"ALPHA"', cost))
+        assert cli.main(["synthesize", "--spec", str(spec_file)]) == 2
+        err = capsys.readouterr().err
+        assert "alpha cost must be finite" in err
+        assert "no path" not in err
+
     def test_two_npu_ring_synthesizes(self, capsys):
         assert cli.main(["synthesize", "-t", "ring:2", "-c", "all_gather"]) == 0
         assert "Ring(2)" in capsys.readouterr().out

@@ -95,9 +95,11 @@ class TestRoundTrip:
         payload = _payload(build_ring(5), AllGather(5))
         decoded = TrialPayload.from_bytes(payload.to_bytes())
         for seed in (0, 7):
-            original, _ = _execute_trial(payload, seed)
-            rebuilt, _ = _execute_trial(decoded, seed)
+            original, original_stats = _execute_trial(payload, seed)
+            rebuilt, rebuilt_stats = _execute_trial(decoded, seed)
             assert rebuilt.table.to_bytes() == original.table.to_bytes()
+            assert rebuilt_stats["rounds"] == original_stats["rounds"]
+            assert rebuilt_stats["collective_time"] == original_stats["collective_time"]
 
     def test_frozen_pattern_has_no_size_rule(self):
         decoded = TrialPayload.from_bytes(_payload(build_ring(4), AllGather(4)).to_bytes())

@@ -13,9 +13,11 @@ from repro.collectives import (
     Scatter,
 )
 from repro.core import SynthesisConfig, TacosSynthesizer, synthesize, verify_algorithm
+from repro.core.transfers import TransferTable
 from repro.errors import SynthesisError
 from repro.topology import (
     Topology,
+    build_3d_rfs,
     build_dgx1,
     build_fully_connected,
     build_mesh_2d,
@@ -238,3 +240,62 @@ class TestSynthesizerConfigurationAndErrors:
         first = TacosSynthesizer(config).synthesize(topology, pattern, 9 * MB)
         second = TacosSynthesizer(config).synthesize(topology, pattern, 9 * MB)
         assert sorted(first.transfers) == sorted(second.transfers)
+
+
+class TestTrialTableConversions:
+    """A completed trial columnarizes its transfers exactly once."""
+
+    @pytest.mark.parametrize(
+        "pattern_cls,trials,expected",
+        [(AllGather, 1, 1), (AllGather, 4, 4), (AllReduce, 1, 2), (AllReduce, 4, 8)],
+    )
+    def test_one_from_transfers_call_per_completed_trial(
+        self, monkeypatch, pattern_cls, trials, expected
+    ):
+        calls = []
+        original = TransferTable.from_transfers.__func__
+
+        def counting(cls, transfers):
+            calls.append(1)
+            return original(cls, transfers)
+
+        monkeypatch.setattr(TransferTable, "from_transfers", classmethod(counting))
+        config = SynthesisConfig(seed=3, trials=trials)
+        result = TacosSynthesizer(config).synthesize_with_stats(
+            build_mesh_2d(3, 3), pattern_cls(9), 9 * MB
+        )
+        assert len(calls) == expected
+        assert result.algorithm.collective_time > 0
+        assert len(result.algorithm.table) > 0
+        assert len(calls) == expected
+
+
+class TestKnownForwardingStall:
+    """Open defect: lowest-cost preference can stall forwarding on two-tier topologies.
+
+    Each topology below is strongly connected, yet with
+    ``prefer_lowest_cost_links`` on (the default) every seed stalls in both
+    the flat and the frozen reference engine.  A fix changes matching
+    semantics, so it has to move the reference engine with it.
+    """
+
+    STALLING = [
+        ("dgx1-hetero-gather", lambda: build_dgx1(heterogeneous=True), lambda n: Gather(n, root=0)),
+        ("dgx1-hetero-scatter", lambda: build_dgx1(heterogeneous=True), lambda n: Scatter(n, root=0)),
+        ("dgx1-hetero-all-to-all", lambda: build_dgx1(heterogeneous=True), AllToAll),
+        ("rfs-2x2x2-gather", lambda: build_3d_rfs(2, 2, 2), lambda n: Gather(n, root=0)),
+    ]
+
+    @pytest.mark.xfail(raises=SynthesisError, strict=True, reason="forwarding stall, still open")
+    @pytest.mark.parametrize("name,build,pattern", STALLING, ids=[c[0] for c in STALLING])
+    def test_synthesizes_with_lowest_cost_preference(self, name, build, pattern):
+        topology = build()
+        algorithm = TacosSynthesizer().synthesize(topology, pattern(topology.num_npus), 4 * MB)
+        assert verify_algorithm(algorithm, topology, pattern(topology.num_npus))
+
+    @pytest.mark.parametrize("name,build,pattern", STALLING, ids=[c[0] for c in STALLING])
+    def test_synthesizes_without_lowest_cost_preference(self, name, build, pattern):
+        topology = build()
+        config = SynthesisConfig(prefer_lowest_cost_links=False)
+        algorithm = TacosSynthesizer(config).synthesize(topology, pattern(topology.num_npus), 4 * MB)
+        assert verify_algorithm(algorithm, topology, pattern(topology.num_npus))

@@ -1,18 +1,15 @@
 """Direct coverage for the synthesizer's topology-level helper structures.
 
-``_cheaper_reachability_regions`` and ``_needs_forwarding`` were previously
-only exercised indirectly through whole experiment runs; these tests pin
-their semantics down on explicit heterogeneous topologies.
+``Topology.cheaper_reachability_regions``, ``Topology.hop_distances`` and
+``_needs_forwarding`` were previously only exercised indirectly through whole
+experiment runs; these tests pin their semantics down on explicit
+heterogeneous topologies.
 """
 
 import pytest
 
 from repro.collectives import AllGather, AllReduce, AllToAll, Broadcast, Gather, Scatter
-from repro.core.synthesizer import (
-    TacosSynthesizer,
-    _all_pairs_hop_distances,
-    _cheaper_reachability_regions,
-)
+from repro.core.synthesizer import TacosSynthesizer
 from repro.topology import Topology, build_dgx1, build_ring
 
 
@@ -26,13 +23,13 @@ def two_tier_line():
 
 class TestCheaperReachabilityRegions:
     def test_homogeneous_topology_has_no_tiers(self):
-        regions = _cheaper_reachability_regions(build_ring(4), 1e6)
+        regions = build_ring(4).cheaper_reachability_regions(1e6)
         assert regions == {}
 
     def test_two_tier_regions(self):
         topology = two_tier_line()
         chunk_size = 1e6
-        regions = _cheaper_reachability_regions(topology, chunk_size)
+        regions = topology.cheaper_reachability_regions(chunk_size)
         # Exactly one non-cheapest tier: the slow 10 GB/s links.
         slow_cost = topology.link(1, 2).cost(chunk_size)
         assert set(regions) == {slow_cost}
@@ -44,19 +41,19 @@ class TestCheaperReachabilityRegions:
         assert per_dest[2] == frozenset()
 
     def test_regions_exclude_destination_itself(self):
-        regions = _cheaper_reachability_regions(build_dgx1(heterogeneous=True), 1e6)
+        regions = build_dgx1(heterogeneous=True).cheaper_reachability_regions(1e6)
         for per_dest in regions.values():
             for dest, region in enumerate(per_dest):
                 assert dest not in region
 
     def test_homogeneous_dgx1_has_no_tiers(self):
-        assert _cheaper_reachability_regions(build_dgx1(), 1e6) == {}
+        assert build_dgx1().cheaper_reachability_regions(1e6) == {}
 
     def test_heterogeneous_dgx1_has_a_slow_tier(self):
         # The 2-tier DGX-1 mixes single and doubled NVLink bandwidths.
         topology = build_dgx1(heterogeneous=True)
         assert not topology.is_homogeneous()
-        regions = _cheaper_reachability_regions(topology, 1e6)
+        regions = topology.cheaper_reachability_regions(1e6)
         assert len(regions) == 1  # exactly one non-cheapest tier
         (per_dest,) = regions.values()
         assert len(per_dest) == 8
@@ -66,19 +63,19 @@ class TestCheaperReachabilityRegions:
 
     def test_cached_on_topology_instance(self):
         topology = two_tier_line()
-        assert _cheaper_reachability_regions(topology, 1e6) is _cheaper_reachability_regions(
-            topology, 1e6
+        assert topology.cheaper_reachability_regions(1e6) is (
+            topology.cheaper_reachability_regions(1e6)
         )
         # A different chunk size is a different cache entry.
-        assert _cheaper_reachability_regions(topology, 1e6) is not _cheaper_reachability_regions(
-            topology, 2e6
+        assert topology.cheaper_reachability_regions(1e6) is not (
+            topology.cheaper_reachability_regions(2e6)
         )
 
     def test_cache_invalidated_by_new_links(self):
         topology = two_tier_line()
-        before = _cheaper_reachability_regions(topology, 1e6)
+        before = topology.cheaper_reachability_regions(1e6)
         topology.add_link(0, 2, alpha=0.5e-6, bandwidth_gbps=100.0)
-        after = _cheaper_reachability_regions(topology, 1e6)
+        after = topology.cheaper_reachability_regions(1e6)
         assert after is not before
         slow_cost = topology.link(1, 2).cost(1e6)
         # 2 is now reachable over fast links: directly from 0, and from 1
@@ -105,7 +102,7 @@ class TestNeedsForwarding:
 class TestHopDistances:
     def test_delegates_to_topology_cache(self):
         topology = build_ring(5)
-        distances = _all_pairs_hop_distances(topology)
+        distances = topology.hop_distances()
         assert distances is topology.hop_distances()
         assert distances[0][1] == 1
         assert distances[0][2] == 2
@@ -116,5 +113,5 @@ class TestHopDistances:
         topology = Topology(3, name="OneWay")
         topology.add_link(0, 1, alpha=1e-6, bandwidth_gbps=50.0)
         topology.add_link(1, 2, alpha=1e-6, bandwidth_gbps=50.0)
-        distances = _all_pairs_hop_distances(topology)
+        distances = topology.hop_distances()
         assert distances[2][0] == topology.num_npus + 1  # no way back

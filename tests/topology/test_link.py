@@ -5,6 +5,7 @@ import math
 import pytest
 
 from repro.errors import TopologyError
+from repro.topology import Topology
 from repro.topology.link import GIGABYTE, Link, bandwidth_to_beta, beta_to_bandwidth
 
 
@@ -24,6 +25,11 @@ class TestBandwidthConversion:
     def test_negative_bandwidth_rejected(self):
         with pytest.raises(TopologyError):
             bandwidth_to_beta(-1.0)
+
+    @pytest.mark.parametrize("bandwidth", [math.nan, math.inf])
+    def test_non_finite_bandwidth_rejected(self, bandwidth):
+        with pytest.raises(TopologyError, match="bandwidth must be finite"):
+            bandwidth_to_beta(bandwidth)
 
     def test_zero_beta_is_infinite_bandwidth(self):
         assert beta_to_bandwidth(0.0) == math.inf
@@ -71,6 +77,21 @@ class TestLink:
         # synthesis engines legitimately diverge.
         with pytest.raises(TopologyError):
             Link(source=0, dest=1, alpha=0.0, beta=0.0)
+
+    @pytest.mark.parametrize("field", ["alpha", "beta"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_cost_rejected(self, field, value):
+        costs = {"alpha": 1e-6, "beta": 1e-11, field: value}
+        with pytest.raises(TopologyError, match=f"{field} cost must be finite"):
+            Link(source=0, dest=1, **costs)
+
+    def test_non_finite_cost_rejected_through_add_link(self):
+        topology = Topology(2)
+        with pytest.raises(TopologyError, match="alpha cost must be finite"):
+            topology.add_link(0, 1, alpha=math.nan, bandwidth_gbps=50.0)
+        with pytest.raises(TopologyError, match="bandwidth must be finite"):
+            topology.add_link(0, 1, alpha=1e-6, bandwidth_gbps=math.nan)
+        assert topology.num_links == 0
 
     def test_key(self):
         link = Link(source=3, dest=7, alpha=1e-6, beta=1e-11)
