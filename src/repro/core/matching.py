@@ -31,6 +31,14 @@ per-NPU idle-link caching and an idle-link budget that stops the scan once
 the span is saturated, a matching round touches each hopeless pair O(1)
 times instead of re-deriving its empty candidate set.
 
+Large direct-only rounds go through a vectorized block prefilter
+(:func:`_run_direct_pass_blockwise`) that drops pairs with no idle held
+candidate and, on heterogeneous topologies, pairs the lower-cost-link
+deferral (Sec. IV-F) would skip.  The deferral drop is exact because, within
+a round, candidates only shrink (so the cheapest live candidate's cost only
+rises), cheaper-link regions nest across cost tiers, and holders only grow
+(the round-frozen ``held`` mirror is a subset of them).
+
 Determinism contract
 --------------------
 The candidate enumeration order is part of the algorithm's observable
@@ -607,6 +615,21 @@ def _run_direct_pass_blockwise(
     the prefilter are exactly those the scalar loop would pass over without
     consuming the RNG, and a saturated span (``idle_total == 0``) stops both
     loops before any further draw, so the RNG streams coincide.
+
+    With ``cheap_regions`` the filter also drops pairs the lower-cost-link
+    deferral (Sec. IV-F) skips: the cheapest valid candidate's cost is mapped
+    to its tier by exact equality (as ``cheap_regions.get`` does), and the
+    pair goes when a held copy of the chunk lies in that tier's region of the
+    destination (:meth:`~repro.topology.topology.Topology.cheaper_region_mask`,
+    the dense form of ``cheap_regions``, derived once per topology and chunk
+    size).  Such a pair is deferred at its turn too, by three monotone facts:
+    (1) its live candidates are a subset of the filter-time ones, so the
+    cheapest live cost is no lower; (2) regions nest across tiers (region(c)
+    is a subset of region(c') for c <= c') and every link cost is the
+    cheapest one (no region) or a key of ``cheap_regions``, so the live tier
+    has a region containing the filter-time one; (3) holders only grow and
+    ``held`` is a subset of them.  The live check stays in the loop because
+    a pair can become deferred mid-round.
     """
     num_chunks = state.num_chunks
     acquisition = state._acquisition
@@ -638,6 +661,11 @@ def _run_direct_pass_blockwise(
         return
     in_flat, in_indptr, sources_arr = ten.in_link_csr()
     num_links = len(free_times)
+    region_mask = None
+    if prefer_lowest_cost and cheap_regions:
+        tier_costs, region_mask = ten.topology.cheaper_region_mask(ten.chunk_size)
+        costs_np = _np.array(link_costs, dtype=_np.float64)
+        held_by_chunk = held.reshape(state.num_npus, num_chunks)
 
     cursor = 0
     while cursor < total_kept and idle_total > 0:
@@ -666,6 +694,21 @@ def _run_direct_pass_blockwise(
         keep = counts > 0
         if not keep.any():
             continue
+        if region_mask is not None:
+            # Sec. IV-F deferral at filter time: the tier of each surviving
+            # pair's cheapest valid candidate, then whether a held copy of
+            # the chunk sits in that tier's region of the destination.
+            rows = _np.flatnonzero(keep)
+            best = _np.minimum.reduceat(costs_np[edges[valid]], running[indptr[rows]])
+            tier = _np.searchsorted(tier_costs, best).clip(max=len(tier_costs) - 1)
+            exact = tier_costs[tier] == best
+            rows, tier = rows[exact], tier[exact]
+            deferred = (
+                region_mask[tier, dest_col[rows]] & held_by_chunk[:, chunk_col[rows]].T
+            ).any(axis=1)
+            if deferred.any():
+                keep[rows[deferred]] = False
+                valid &= _np.repeat(keep, degrees)
         codes_list = block[keep].tolist()
         dest_list = dest_col[keep].tolist()
         chunk_list = chunk_col[keep].tolist()
@@ -690,14 +733,14 @@ def _run_direct_pass_blockwise(
                 continue
             dest = dest_list[index]
             chunk = chunk_list[index]
-            if prefer_lowest_cost and cheap_regions is not None:
+            if region_mask is not None:
                 # Lower-cost-link prioritization (Sec. IV-F), identical to
-                # the scalar loop's deferral.
+                # the scalar loop's deferral: the filter only dropped pairs
+                # already deferred, but a pair can become deferred mid-round.
                 best_available = min(link_costs[link_id] for link_id in candidates)
                 region_by_dest = cheap_regions.get(best_available)
                 if region_by_dest is not None:
-                    region = region_by_dest[dest]
-                    if any(holder in region for holder in holders[chunk]):
+                    if not region_by_dest[dest].isdisjoint(holders[chunk]):
                         continue
             num_candidates = len(candidates)
             if num_candidates == 1:
@@ -760,7 +803,10 @@ def run_matching_round(
         of NPUs that can reach ``dest`` using only links strictly cheaper than
         ``cost``.  Used by the lower-cost-link prioritization to avoid
         redundant transfers over scarce expensive links; ``None`` disables the
-        deferral (homogeneous topologies need none).
+        deferral (homogeneous topologies need none).  When given, it must be
+        ``ten.topology.cheaper_reachability_regions(ten.chunk_size)``: the
+        blockwise prefilter reads the same regions through
+        :meth:`~repro.topology.topology.Topology.cheaper_region_mask`.
     """
     transfers: List[ChunkTransfer] = []
     num_chunks = state.num_chunks
@@ -869,8 +915,7 @@ def run_matching_round(
             best_available = min(link_costs[link_id] for link_id in candidates)
             region_by_dest = cheap_regions.get(best_available)
             if region_by_dest is not None:
-                region = region_by_dest[dest]
-                if any(holder in region for holder in holders[chunk]):
+                if not region_by_dest[dest].isdisjoint(holders[chunk]):
                     continue
         num_candidates = len(candidates)
         if num_candidates == 1:

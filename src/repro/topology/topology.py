@@ -508,6 +508,31 @@ class Topology:
             lambda: self._compute_cheaper_regions(float(chunk_size)),
         )
 
+    def cheaper_region_mask(self, chunk_size: float):
+        """Dense boolean form of :meth:`cheaper_reachability_regions`.
+
+        Returns ``(tier_costs, mask)``: ``tier_costs`` is the ascending
+        float64 array of the regions' cost keys and ``mask[tier, dest, npu]``
+        is True exactly when ``npu`` is in
+        ``regions[tier_costs[tier]][dest]``.  The matching round's vectorized
+        prefilter tests whole blocks of pairs against it.  Cached per
+        ``(topology, chunk_size)``; treat as read-only.
+        """
+
+        def build():
+            import numpy as np
+
+            regions = self.cheaper_reachability_regions(chunk_size)
+            tier_costs = np.array(sorted(regions), dtype=np.float64)
+            size = self._num_npus
+            mask = np.zeros((len(tier_costs), size, size), dtype=bool)
+            for tier, cost in enumerate(tier_costs.tolist()):
+                for dest, region in enumerate(regions[cost]):
+                    mask[tier, dest, sorted(region)] = True
+            return tier_costs, mask
+
+        return self._derived(("cheap_region_mask", float(chunk_size)), build)
+
     def _compute_cheaper_regions(self, chunk_size: float) -> Dict[float, List[frozenset]]:
         from collections import deque
 
